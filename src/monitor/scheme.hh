@@ -207,17 +207,20 @@ class SchemeEngine
      * Restore into an engine built with the same scheme config; the
      * restored hold levels are re-asserted into the sink (idempotent
      * for an in-run round trip).  Fails the deserializer on a foreign
-     * fingerprint.
+     * fingerprint, leaving the engine untouched.
      */
     bool restoreState(snapshot::Deserializer &in);
 
-    /** FNV-1a digest over the complete mutable state. */
+    /** FNV-1a of exactly the bytes saveState() writes. */
     std::uint64_t digest() const;
+
+    /** The engine's one field list (see snapshot/state_visitor.hh). */
+    template <class V>
+    void visitState(V &v);
 
   private:
     bool canFire(const Scheme &scheme, const SchemeState &state,
                  std::uint64_t agg_index) const;
-    void applyLevels();
 
     SchemeConfig config_;
     ActionSink *sink_;

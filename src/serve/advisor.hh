@@ -157,6 +157,13 @@ class AdvisorEngine
 
     const AdvisorConfig &config() const { return config_; }
 
+    /**
+     * The warm-start state's one field list (see
+     * snapshot/state_visitor.hh); callers hold cacheMu_.
+     */
+    template <class V>
+    void visitState(V &v);
+
   private:
     /** Pure table-driven answer (the degraded floor and the prior). */
     AdvisorDecision tableDecision(const AdvisorRequest &request) const;

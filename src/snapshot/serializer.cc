@@ -265,7 +265,13 @@ Deserializer::readBlob()
 std::uint64_t
 Deserializer::readCount(const char *what, std::uint64_t min_bytes_each)
 {
-    const std::uint64_t count = readU64();
+    return checkCount(readU64(), what, min_bytes_each);
+}
+
+std::uint64_t
+Deserializer::checkCount(std::uint64_t count, const char *what,
+                         std::uint64_t min_bytes_each)
+{
     if (!ok())
         return 0;
     if (min_bytes_each == 0)
