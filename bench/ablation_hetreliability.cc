@@ -52,6 +52,7 @@
 #include "core/placement.hh"
 #include "ecc/bamboo.hh"
 #include "fault/drift_chaos.hh"
+#include "harness.hh"
 #include "node/config.hh"
 #include "node/node_system.hh"
 #include "sched/cluster_sim.hh"
@@ -68,6 +69,7 @@ namespace
 {
 
 using namespace hdmr;
+using bench::Checks;
 
 /** Organic fault rates shared by every faulted leg. */
 constexpr double kNodeFailuresPerHour = 2.0e-6;
@@ -133,19 +135,6 @@ reclaimedShare(const sched::ClusterMetrics &m)
         return 0.0;
     return 1.0 - m.copyNodeSeconds / m.dmrCopyNodeSeconds;
 }
-
-/** Incrementing check harness shared by smoke and the full campaign. */
-struct Checks
-{
-    int failures = 0;
-
-    void
-    operator()(bool ok, const char *what)
-    {
-        std::printf("check: %-52s %s\n", what, ok ? "PASS" : "FAIL");
-        failures += ok ? 0 : 1;
-    }
-};
 
 // ---------------------------------------------------------------------
 // Section 1: node capacity through the fig12 pipeline.

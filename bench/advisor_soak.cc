@@ -47,9 +47,8 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "fault/slow_path.hh"
+#include "harness.hh"
 #include "serve/advisor.hh"
 #include "serve/service.hh"
 #include "serve/wire.hh"
@@ -67,21 +66,6 @@ namespace
 
 using namespace hdmr;
 using namespace hdmr::serve;
-
-/** Exit code of the double-signal escape hatch (one signal: 130). */
-constexpr int kForcedExitCode = 131;
-
-volatile std::sig_atomic_t g_interrupted = 0;
-
-extern "C" void
-onSignal(int)
-{
-    // Second signal: the user really means it.  Skip the snapshot and
-    // exit immediately (async-signal-safe, hence _exit).
-    if (g_interrupted != 0)
-        _exit(kForcedExitCode);
-    g_interrupted = 1;
-}
 
 struct SoakScale
 {
@@ -249,11 +233,7 @@ run(bool smoke, std::uint64_t seed, const std::string &telemetry_dir)
     const SoakScale scale = smoke ? SoakScale{} : fullScale();
     util::Rng rng(seed);
 
-    int failures = 0;
-    const auto gate = [&failures](bool ok, const char *what) {
-        std::printf("soak: %-52s %s\n", what, ok ? "PASS" : "FAIL");
-        failures += ok ? 0 : 1;
-    };
+    bench::Checks gate("soak");
 
     fault::SlowPathInjector injector;
     const std::string keeper_path =
@@ -401,7 +381,7 @@ run(bool smoke, std::uint64_t seed, const std::string &telemetry_dir)
         if (smoke)
             std::raise(SIGTERM); // exercise the real signal path
         const auto drainStart = std::chrono::steady_clock::now();
-        while (g_interrupted == 0 &&
+        while (!bench::stopRequested() &&
                std::chrono::steady_clock::now() - drainStart <
                    std::chrono::seconds(1))
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -540,8 +520,8 @@ run(bool smoke, std::uint64_t seed, const std::string &telemetry_dir)
                     json.c_str(), bench_path.c_str());
     }
 
-    std::printf("\nadvisor_soak: %d gate(s) failed\n", failures);
-    return failures == 0 ? 0 : 1;
+    std::printf("\nadvisor_soak: %d gate(s) failed\n", gate.failures);
+    return gate.failures == 0 ? 0 : 1;
 }
 
 } // namespace
@@ -573,12 +553,11 @@ main(int argc, char **argv)
                          "[--telemetry-out=DIR]\n"
                          "(second SIGINT/SIGTERM during shutdown "
                          "skips the snapshot; exit code %d)\n",
-                         kForcedExitCode);
+                         bench::kForcedExitCode);
             return 2;
         }
     }
 
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
+    bench::installStopSignals();
     return run(smoke, seed, telemetry_dir);
 }

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "ecc/bamboo.hh"
+#include "harness.hh"
 #include "fault/drift_chaos.hh"
 #include "sched/cluster_sim.hh"
 #include "snapshot/digest.hh"
@@ -60,6 +61,7 @@ namespace
 {
 
 using namespace hdmr;
+using bench::Checks;
 
 /** Organic fault rates shared by every faulted leg (fig18 baseline). */
 constexpr double kUePerHour = 1.0e-4;
@@ -152,19 +154,6 @@ schedulesIdentical(const std::vector<fault::FaultEvent> &a,
     }
     return true;
 }
-
-/** Incrementing check harness shared by smoke and the full campaign. */
-struct Checks
-{
-    int failures = 0;
-
-    void
-    operator()(bool ok, const char *what)
-    {
-        std::printf("check: %-52s %s\n", what, ok ? "PASS" : "FAIL");
-        failures += ok ? 0 : 1;
-    }
-};
 
 /**
  * The SDC leg pair: the same audit fleet with and without the drift

@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "harness.hh"
 #include "monitor/monitor.hh"
 #include "monitor/scheme.hh"
 #include "node/config.hh"
@@ -231,11 +232,7 @@ runDigestTrail(bool smoke, std::uint64_t roundtrip_at,
 int
 runChecks(bool smoke, Recorder &recorder)
 {
-    int failures = 0;
-    const auto check = [&failures](bool ok, const char *what) {
-        std::printf("check: %-52s %s\n", what, ok ? "PASS" : "FAIL");
-        failures += ok ? 0 : 1;
-    };
+    bench::Checks check;
 
     // ---- The six legs. ----
     std::printf("%-14s %-10s %12s %12s %10s %8s\n", "workload", "leg",
@@ -350,7 +347,7 @@ runChecks(bool smoke, Recorder &recorder)
               "fresh restore digests identically to capture");
     }
 
-    return failures;
+    return check.failures;
 }
 
 /** Export the registry and the perf-trajectory record. */

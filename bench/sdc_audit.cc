@@ -48,15 +48,14 @@
 
 #include <cinttypes>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
-#include <unistd.h>
 
 #include "ecc/bamboo.hh"
+#include "harness.hh"
 #include "snapshot/keeper.hh"
 #include "snapshot/serializer.hh"
 #include "telemetry/bench_record.hh"
@@ -74,31 +73,6 @@ using verify::OracleCounters;
 using verify::SdcAudit;
 using verify::SdcAuditConfig;
 using verify::SdcAuditReport;
-
-/**
- * SIGINT/SIGTERM request flag.  The handler must stay strictly
- * async-signal-safe: set this flag, do nothing else (no I/O, no
- * allocation, no snapshot work).  The campaign loop polls it at each
- * module-hour boundary and runs the final-snapshot path in normal
- * context.
- *
- * A *second* SIGINT/SIGTERM is the escape hatch for a stuck graceful
- * path (e.g. the final-snapshot fsync hanging on a dead disk): the
- * handler _exit()s immediately with the distinct code 131, skipping
- * the snapshot (_exit() is async-signal-safe).
- */
-volatile std::sig_atomic_t g_interrupted = 0;
-
-/** Exit code of the second-signal immediate exit (130 = graceful). */
-constexpr int kForcedExitCode = 131;
-
-extern "C" void
-handleStopSignal(int)
-{
-    if (g_interrupted != 0)
-        _exit(kForcedExitCode);
-    g_interrupted = 1;
-}
 
 /** Strict numeric flag parsing: the whole value must consume. */
 double
@@ -248,11 +222,7 @@ runSmokeChecks(const SdcAuditConfig &config,
                const std::string &telemetry_dir,
                const telemetry::WallTimer &timer)
 {
-    int failures = 0;
-    const auto check = [&failures](bool ok, const char *what) {
-        std::printf("smoke: %-44s %s\n", what, ok ? "PASS" : "FAIL");
-        failures += ok ? 0 : 1;
-    };
+    bench::Checks check("smoke", 44);
 
     // One uninterrupted reference run with the pristine oracle.
     SdcAudit reference(config);
@@ -312,7 +282,7 @@ runSmokeChecks(const SdcAuditConfig &config,
     printReport(config, report);
     if (!telemetry_dir.empty())
         exportTelemetry(telemetry_dir, reference, timer);
-    return failures;
+    return check.failures;
 }
 
 } // namespace
@@ -440,15 +410,14 @@ main(int argc, char **argv)
                         "older generation was valid either)",
                         resume_from.c_str(), last.message().c_str());
     }
-    std::signal(SIGINT, handleStopSignal);
-    std::signal(SIGTERM, handleStopSignal);
+    bench::installStopSignals();
 
     const std::uint64_t total = audit.totalSteps();
     const std::uint64_t stride = total < 10 ? 1 : total / 10;
     while (audit.step()) {
         // Epoch boundary: the only place the interrupt flag is acted
         // on, so the snapshot always captures a whole module-hour.
-        if (g_interrupted != 0) {
+        if (bench::stopRequested()) {
             const std::string path = snapshot_path.empty()
                                          ? "sdc_audit.snap"
                                          : snapshot_path;

@@ -1,14 +1,13 @@
 #include "snapshot_cli.hh"
 
 #include <cmath>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <unistd.h>
 #include <variant>
 
+#include "harness.hh"
 #include "snapshot/keeper.hh"
 #include "snapshot/serializer.hh"
 #include "telemetry/sinks.hh"
@@ -19,36 +18,6 @@ namespace hdmr::bench
 
 namespace
 {
-
-/**
- * SIGINT/SIGTERM request flag.  The handler must stay strictly
- * async-signal-safe: it sets this one volatile sig_atomic_t and does
- * nothing else - no I/O, no allocation, and in particular no snapshot
- * work, which walks heap structures the interrupted code may have been
- * mutating.  The run loop polls the flag at its scheduler decision
- * points (the epoch boundaries of a sweep leg) via
- * RunOptions::interrupted and performs the final-snapshot path in
- * normal context.
- *
- * Escape hatch: a *second* SIGINT/SIGTERM means the graceful path is
- * stuck (most likely the final-snapshot write hanging on a dead disk)
- * and the user wants out *now*.  The handler _exit()s immediately with
- * the distinct code 131, skipping the snapshot - _exit() is
- * async-signal-safe and flushes nothing, which is exactly right when
- * the process state is suspect.
- */
-volatile std::sig_atomic_t g_interrupted = 0;
-
-/** Exit code of the second-signal immediate exit (130 = graceful). */
-constexpr int kForcedExitCode = 131;
-
-extern "C" void
-handleStopSignal(int)
-{
-    if (g_interrupted != 0)
-        _exit(kForcedExitCode);
-    g_interrupted = 1;
-}
 
 double
 parseSeconds(const char *flag, const char *text)
@@ -98,8 +67,7 @@ SweepRunner::SweepRunner(std::string bench_name, int argc, char **argv)
     parseArgs(argc, argv);
     if (!resumeFrom_.empty())
         loadResumeFile();
-    std::signal(SIGINT, handleStopSignal);
-    std::signal(SIGTERM, handleStopSignal);
+    installStopSignals();
 }
 
 void
@@ -308,7 +276,7 @@ SweepRunner::leg(const std::string &label,
 
     // Interrupt landed between legs: save a sweep image marking this
     // leg as active-but-unstarted and stop.
-    if (g_interrupted != 0) {
+    if (stopRequested()) {
         activeLabel_ = label;
         if (resumeActive_ && label == resumeActiveLabel_)
             activeState_ = resumeActiveState_;
@@ -338,7 +306,7 @@ SweepRunner::leg(const std::string &label,
             activeState_ = state;
             writeSweepFile();
         };
-    options.interrupted = [] { return g_interrupted != 0; };
+    options.interrupted = [] { return stopRequested(); };
 
     sched::RunOutcome outcome;
     if (resumeActive_) {

@@ -126,6 +126,31 @@ TEST(EpochGuard, BoundaryErrorCountsTowardExactlyOneEpoch)
     EXPECT_EQ(guard.epochEnd(length - 1), length);
 }
 
+TEST(EpochGuard, TruncatedRestoreLeavesTheGuardUntouched)
+{
+    EpochGuardConfig config;
+    config.epochLength = 10 * util::kTicksPerMs;
+    config.mttSdcYears = 1e18; // tiny budget: a few errors trip it
+    EpochGuard source(config);
+    for (Tick t = 0; t < 40; ++t)
+        source.recordError(25 * util::kTicksPerMs + t);
+    ASSERT_GE(source.trips(), 1u);
+    snapshot::Serializer image;
+    source.saveState(image);
+
+    EpochGuard target(config);
+    target.recordError(util::kTicksPerMs);
+    snapshot::Serializer before;
+    target.saveState(before);
+    for (std::size_t cut = 0; cut < image.data().size(); ++cut) {
+        snapshot::Deserializer in(image.data().data(), cut);
+        EXPECT_FALSE(target.restoreState(in));
+        snapshot::Serializer after;
+        target.saveState(after);
+        ASSERT_EQ(before.data(), after.data()) << "image cut at " << cut;
+    }
+}
+
 TEST(EpochGuard, ThresholdScalesWithEpochLength)
 {
     // The MTT-SDC target is global, so a half-hour epoch gets half the
@@ -718,6 +743,29 @@ TEST(Recalibration, RestoreRejectsDifferentQualifiedRate)
     snapshot::Deserializer in(out.data());
     EXPECT_FALSE(target.mode.restoreState(in));
     EXPECT_FALSE(in.ok());
+
+    // A mismatch found late in the image - after the operating point,
+    // the epoch guard and the statistics block have been decoded -
+    // must still leave the target exactly as it was.
+    LadderRig driven(config);
+    driven.events.run(config.recalibration.windowTicks / 2);
+    driven.mode.injectDetectedErrors(9);
+    driven.mode.demote();
+    snapshot::Serializer driven_image;
+    driven.mode.saveState(driven_image);
+
+    auto requalified = config;
+    requalified.qualifiedFastRateMts =
+        config.fastSetting.dataRateMts + 400;
+    LadderRig late(requalified);
+    snapshot::Serializer before;
+    late.mode.saveState(before);
+    snapshot::Deserializer late_in(driven_image.data());
+    EXPECT_FALSE(late.mode.restoreState(late_in));
+    EXPECT_FALSE(late_in.ok());
+    snapshot::Serializer after;
+    late.mode.saveState(after);
+    EXPECT_EQ(before.data(), after.data());
 }
 
 } // namespace

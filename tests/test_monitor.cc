@@ -23,6 +23,7 @@
 #include "monitor/scheme.hh"
 #include "node/config.hh"
 #include "node/node_system.hh"
+#include "snapshot/digest.hh"
 #include "snapshot/serializer.hh"
 #include "util/status.hh"
 #include "workloads/hpc_workloads.hh"
@@ -313,6 +314,17 @@ TEST(RegionSampler, RestoreRejectsForeignConfigAndTruncation)
     RegionSampler target(enabledConfig());
     snapshot::Deserializer in2(truncated);
     EXPECT_FALSE(target.restoreState(in2) && in2.ok());
+}
+
+TEST(RegionSampler, DigestIsFnv1aOfTheSavedBytes)
+{
+    RegionSampler sampler(enabledConfig());
+    drive(sampler, 30000);
+    snapshot::Serializer out;
+    sampler.saveState(out);
+    snapshot::Fnv1a reference;
+    reference.addBytes(out.data().data(), out.data().size());
+    EXPECT_EQ(sampler.digest(), reference.value());
 }
 
 // ---- Scheme-config parser. ------------------------------------------
@@ -652,6 +664,18 @@ TEST(SchemeEngine, SnapshotRoundTripReassertsHolds)
     EXPECT_TRUE(fresh.readPreferenceActive());
     EXPECT_GE(sink2.count("boost"), 1u);
     EXPECT_GE(sink2.count("clean"), 1u);
+}
+
+TEST(SchemeEngine, DigestIsFnv1aOfTheSavedBytes)
+{
+    FakeSink sink;
+    SchemeEngine engine(oneScheme(SchemeAction::kPreferReads), &sink);
+    engine.onAggregation({makeRegion(0, 4096, 50, 0, 1)}, aggAt(0));
+    snapshot::Serializer out;
+    engine.saveState(out);
+    snapshot::Fnv1a reference;
+    reference.addBytes(out.data().data(), out.data().size());
+    EXPECT_EQ(engine.digest(), reference.value());
 }
 
 TEST(SchemeEngine, RestoreRejectsForeignSchemeList)
