@@ -633,14 +633,14 @@ ClusterSimulator::startJob(std::uint32_t job_index, double now)
         // Attempt dies mid-run; metrics for the job are deferred to
         // its eventually-successful attempt.
         rj.killed = true;
-        rj.endTime = now + kill_after;
+        rj.time = now + kill_after;
         ++st_.metrics.ueInjected;
         ++st_.metrics.criticalUes;
         ++st_.metrics.jobKills;
         HDMR_TM_INC(tm_.ueInjected);
         HDMR_TM_INC(tm_.criticalUes);
         HDMR_TM_INC(tm_.jobKills);
-        traceInstant("job_kill", rj.endTime);
+        traceInstant("job_kill", rj.time);
         const double useful =
             kill_after / (1.0 + ckpt_ovh) * speedup;
         double saved = 0.0;
@@ -656,9 +656,9 @@ ClusterSimulator::startJob(std::uint32_t job_index, double now)
         st_.metrics.checkpointOverheadSeconds +=
             kill_after * ckpt_ovh / (1.0 + ckpt_ovh);
         st_.busyNodeSeconds += kill_after * job.nodes;
-        st_.spanEnd = std::max(st_.spanEnd, rj.endTime);
+        st_.spanEnd = std::max(st_.spanEnd, rj.time);
     } else {
-        rj.endTime = now + exec;
+        rj.time = now + exec;
         st_.execSum += exec;
         const double qdelay = now - job.submitSeconds;
         st_.queueSum += qdelay;
@@ -680,13 +680,10 @@ ClusterSimulator::startJob(std::uint32_t job_index, double now)
         }
         st_.metrics.checkpointOverheadSeconds +=
             exec * ckpt_ovh / (1.0 + ckpt_ovh);
-        st_.spanEnd = std::max(st_.spanEnd, rj.endTime);
+        st_.spanEnd = std::max(st_.spanEnd, rj.time);
     }
     st_.running.push_back(rj);
-    st_.completions.push_back(
-        Completion{rj.endTime, rj.seq, st_.running.size() - 1});
-    std::push_heap(st_.completions.begin(), st_.completions.end(),
-                   Later{});
+    std::push_heap(st_.running.begin(), st_.running.end(), Later{});
 }
 
 void
@@ -727,8 +724,6 @@ ClusterSimulator::trySchedule(double now)
     std::vector<std::pair<double, unsigned>> est_frees;
     est_frees.reserve(st_.running.size());
     for (const RunningJob &rj : st_.running) {
-        if (!rj.live)
-            continue;
         unsigned nodes = 0;
         for (unsigned n : rj.allocated)
             nodes += n;
@@ -839,7 +834,7 @@ ClusterSimulator::runLoop(const RunOptions &options)
 
     bool completed = true;
     bool deadline_hit = false;
-    while (st_.nextArrival < jobs.size() || !st_.completions.empty() ||
+    while (st_.nextArrival < jobs.size() || !st_.running.empty() ||
            !st_.faults.done() || !st_.resubmits.empty()) {
         const double t_arrival =
             st_.nextArrival < jobs.size()
@@ -849,7 +844,7 @@ ClusterSimulator::runLoop(const RunOptions &options)
         const double t_resubmit =
             st_.resubmits.empty() ? inf : st_.resubmits.front().time;
         const double t_completion =
-            st_.completions.empty() ? inf : st_.completions.front().time;
+            st_.running.empty() ? inf : st_.running.front().time;
 
         // Tie order: faults first (capacity changes are visible to
         // anything scheduled at the same instant), then trace
@@ -934,12 +929,10 @@ ClusterSimulator::runLoop(const RunOptions &options)
           }
 
           case Kind::kCompletion: {
-            const Completion done = st_.completions.front();
-            std::pop_heap(st_.completions.begin(),
-                          st_.completions.end(), Later{});
-            st_.completions.pop_back();
-            RunningJob &rj = st_.running[done.index];
-            rj.live = false;
+            const RunningJob rj = st_.running.front();
+            std::pop_heap(st_.running.begin(), st_.running.end(),
+                          Later{});
+            st_.running.pop_back();
             for (std::size_t g = 0; g < kGroups; ++g)
                 freePerGroup_[g] += rj.allocated[g];
             drainDeferredFaults();
@@ -1105,20 +1098,20 @@ ClusterSimulator::visitState(V &v)
     st_.metrics.visitState(v);
 
     const std::size_t trace_size = st_.jobs->size();
-    // Live running jobs only, in start order: dead slots are not state
-    // (a resumed run has none), and the completion heap is rebuilt
-    // from these on restore, never serialized.  Each occupies 46
-    // payload bytes.
+    // Running jobs in start order; the heap's internal array order is
+    // layout-dependent and not state.  Each occupies 46 payload bytes.
     v.list(
         st_.running, "cluster snapshot running-job list", 46,
         [&](RunningJob &rj) {
-            v(rj.seq, rj.jobIndex, rj.endTime, rj.estimatedEndTime,
+            v(rj.seq, rj.jobIndex, rj.time, rj.estimatedEndTime,
               rj.allocated, rj.attempt, rj.killed);
             v.check(rj.jobIndex < trace_size,
                     "cluster snapshot: running job references a job "
                     "outside the trace");
         },
-        [](const RunningJob &rj) { return rj.live; });
+        [](const RunningJob &a, const RunningJob &b) {
+            return a.seq < b.seq;
+        });
 
     // The pending queue verbatim, including consumed backfill slots:
     // they still occupy backfill-depth window positions.
@@ -1142,7 +1135,6 @@ ClusterSimulator::visitState(V &v)
                     "cluster snapshot: resubmit references a job outside "
                     "the trace");
         },
-        [](const Resubmit &) { return true; },
         [](const Resubmit &a, const Resubmit &b) { return Later{}(b, a); });
 
     v.list(st_.jobState, "cluster snapshot per-job state table", 12,
@@ -1243,13 +1235,8 @@ ClusterSimulator::restoreState(const std::vector<std::uint8_t> &state,
             "cluster snapshot: trailing garbage after the state "
             "image"));
 
-    // Rebuild the derived heaps from the restored lists.
-    st_.completions.clear();
-    for (std::size_t i = 0; i < st_.running.size(); ++i) {
-        const RunningJob &rj = st_.running[i];
-        st_.completions.push_back(Completion{rj.endTime, rj.seq, i});
-    }
-    std::make_heap(st_.completions.begin(), st_.completions.end(), Later{});
+    // The lists were written in canonical order; heap them again.
+    std::make_heap(st_.running.begin(), st_.running.end(), Later{});
     std::make_heap(st_.resubmits.begin(), st_.resubmits.end(), Later{});
     st_.active = true;
     return util::Status{};

@@ -19,10 +19,10 @@
  * Crash safety / replay auditing (src/snapshot): the event loop keeps
  * its entire state in an explicit RunState, so the simulation can be
  * serialized at any scheduler decision point (between events) and
- * resumed bit-identically.  The pending-event set is never serialized
- * as such - completions are rebuilt declaratively from the surviving
- * running jobs - and a per-epoch FNV-1a digest trail lets a resumed
- * run *prove* bit-identity against the straight-through run.
+ * resumed bit-identically.  The running set is itself the completion
+ * heap, keyed (time, seq): it is written in start order and re-heaped
+ * on restore, and a per-epoch FNV-1a digest trail lets a resumed run
+ * *prove* bit-identity against the straight-through run.
  */
 
 #ifndef HDMR_SCHED_CLUSTER_SIM_HH
@@ -383,12 +383,11 @@ class ClusterSimulator
     struct RunningJob
     {
         std::uint32_t jobIndex = 0; ///< into the trace vector
-        double endTime = 0.0;
+        double time = 0.0;          ///< when this attempt ends
         double estimatedEndTime = 0.0;
         std::array<unsigned, kGroups> allocated = {0, 0, 0};
         unsigned attempt = 1;   ///< 1-based attempt number
         bool killed = false;    ///< this attempt ends in a UE kill
-        bool live = true;       ///< not yet completed
         std::uint64_t seq = 0;  ///< start order, total tie-break
     };
 
@@ -413,19 +412,6 @@ class ClusterSimulator
     };
 
     /**
-     * One expected completion.  (time, seq) is a strict total order,
-     * so the pop sequence is independent of heap-internal layout -
-     * which is what lets a resumed run rebuild the heap from the
-     * surviving running jobs and still pop bit-identically.
-     */
-    struct Completion
-    {
-        double time = 0.0;
-        std::uint64_t seq = 0;
-        std::size_t index = 0; ///< into `running`
-    };
-
-    /**
      * The complete event-loop state.  Everything the future of the
      * simulation depends on lives here (or in the group-capacity
      * arrays and RNG below), which is what makes mid-run snapshots
@@ -434,9 +420,13 @@ class ClusterSimulator
     struct RunState
     {
         const std::vector<traces::Job> *jobs = nullptr;
+        /**
+         * Started, unfinished attempts: a min-heap keyed (time, seq).
+         * That is a strict total order, so the pop sequence does not
+         * depend on the heap's internal layout and a restored run can
+         * re-heap the list and still pop bit-identically.
+         */
         std::vector<RunningJob> running;
-        /** Min-heap keyed (endTime, seq). */
-        std::vector<Completion> completions;
         /** Min-heap keyed (time, seq). */
         std::vector<Resubmit> resubmits;
         std::deque<PendingJob> pending;

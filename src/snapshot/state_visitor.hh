@@ -16,8 +16,9 @@
  *                            read compared against the live values
  *     v.check(cond, msg)     bound the reader enforces on what it just
  *                            decoded (ignored when emitting)
- *     v.list<W>(c, what, n, fn)
- *                            count (as W), then fn(item) per item; the
+ *     v.list<W>(c, what, n, fn[, before])
+ *                            count (as W), then fn(item) per item, in
+ *                            container order or sorted by `before`; the
  *                            reader rejects counts the rest of the
  *                            payload cannot hold at n bytes per item
  *     visit(v, rng)          a util::Rng's complete state
@@ -52,13 +53,6 @@ inline constexpr bool kIsArray = std::is_array_v<T>;
 template <class T, std::size_t N>
 inline constexpr bool kIsArray<std::array<T, N>> = true;
 
-/** list() default: keep every item. */
-struct All
-{
-    template <class Item>
-    bool operator()(const Item &) const { return true; }
-};
-
 } // namespace detail
 
 /**
@@ -83,31 +77,27 @@ class StateEmitter
     void check(bool, const char *, util::StatusCode = {}) {}
     void check(const util::Status &) {}
 
-    /** Emits only the items `keep` accepts, ordered by `before` if
-     *  given; the reader gets them back in emitted order. */
+    /** Emits the items ordered by `before` if given; the reader gets
+     *  them back in emitted order. */
     template <class W = std::uint64_t, class C, class F,
-              class Keep = detail::All, class Before = std::nullptr_t>
+              class Before = std::nullptr_t>
     void
     list(C &items, const char *, std::uint64_t, F &&each,
-         Keep keep = {}, Before before = nullptr)
+         Before before = nullptr)
     {
         using Item = typename C::value_type;
+        put(static_cast<W>(items.size()));
         if constexpr (!std::is_null_pointer_v<Before>) {
             std::vector<Item *> sorted;
             for (Item &item : items)
-                if (keep(item))
-                    sorted.push_back(&item);
+                sorted.push_back(&item);
             std::sort(sorted.begin(), sorted.end(),
                       [&](Item *a, Item *b) { return before(*a, *b); });
-            put(static_cast<W>(sorted.size()));
             for (Item *item : sorted)
                 each(*item);
         } else {
-            put(static_cast<W>(
-                std::count_if(items.begin(), items.end(), keep)));
             for (Item &item : items)
-                if (keep(item))
-                    each(item);
+                each(item);
         }
     }
 
@@ -195,10 +185,12 @@ class StateReader
         check(status.ok(), status.message().c_str(), status.code());
     }
 
-    template <class W = std::uint64_t, class C, class F, class... Ignored>
+    /** Items come back in emitted order; `before` is the writer's. */
+    template <class W = std::uint64_t, class C, class F,
+              class Before = std::nullptr_t>
     void
     list(C &items, const char *what, std::uint64_t min_bytes_each,
-         F &&each, Ignored &&...)
+         F &&each, Before = nullptr)
     {
         W count{};
         get(count);
