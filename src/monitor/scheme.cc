@@ -22,8 +22,6 @@ toString(SchemeAction action)
       case SchemeAction::kEpochLengthen: return "epoch_lengthen";
       case SchemeAction::kPromoteMargin: return "promote";
       case SchemeAction::kDemoteMargin: return "demote";
-      case SchemeAction::kHintFast: return "hint_fast";
-      case SchemeAction::kHintSpec: return "hint_spec";
     }
     return "?";
 }
@@ -35,8 +33,7 @@ schemeActionFromName(std::string_view name, SchemeAction *out)
         SchemeAction::kStat,          SchemeAction::kDrainWrites,
         SchemeAction::kPreferReads,   SchemeAction::kEpochShorten,
         SchemeAction::kEpochLengthen, SchemeAction::kPromoteMargin,
-        SchemeAction::kDemoteMargin,  SchemeAction::kHintFast,
-        SchemeAction::kHintSpec,
+        SchemeAction::kDemoteMargin,
     };
     for (const SchemeAction action : kAll) {
         if (name == toString(action)) {
@@ -492,12 +489,10 @@ SchemeEngine::onAggregation(const std::vector<Region> &regions,
         SchemeState &state = states_[i];
 
         bool matched = false;
-        std::uint64_t matched_bytes = 0;
         for (const Region &region : regions) {
             if (!scheme.predicate.matches(region, info))
                 continue;
             matched = true;
-            matched_bytes += region.sizeBytes();
             ++state.hits;
             HDMR_TM_INC(tm_[i].hits);
         }
@@ -541,14 +536,6 @@ SchemeEngine::onAggregation(const std::vector<Region> &regions,
             break;
           case SchemeAction::kDemoteMargin:
             sink_->demoteMargin();
-            break;
-          case SchemeAction::kHintFast:
-            sink_->hintPlacement(PlacementClass::kFast,
-                                 matched_bytes);
-            break;
-          case SchemeAction::kHintSpec:
-            sink_->hintPlacement(PlacementClass::kSpec,
-                                 matched_bytes);
             break;
           default:
             util::panic("unreachable scheme action");

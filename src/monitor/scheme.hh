@@ -14,7 +14,7 @@
  *
  * Two action shapes exist:
  *  - *edge* actions fire once per matching aggregation (drain the
- *    write backlog, promote/demote a margin step, placement hints);
+ *    write backlog, promote/demote a margin step);
  *  - *level* actions hold while any matching region persists (read
  *    preference = write-trigger boost, epoch shorten/lengthen) and
  *    release when nothing matches - re-asserted idempotently after a
@@ -64,8 +64,6 @@ enum class SchemeAction : std::uint8_t
     kEpochLengthen,  ///< hold: scale the SDC epoch length up
     kPromoteMargin,  ///< re-earn one margin step
     kDemoteMargin,   ///< give back one margin step
-    kHintFast,       ///< placement hint: fast modules
-    kHintSpec,       ///< placement hint: at-spec modules
 };
 
 const char *toString(SchemeAction action);

@@ -68,27 +68,11 @@ class NodeActionSink : public monitor::ActionSink
             mc->demote();
     }
 
-    void
-    hintPlacement(monitor::PlacementClass cls,
-                  std::uint64_t bytes) override
-    {
-        // Placement is decided fleet-side (sched::); at node level the
-        // hint is advisory and only accounted.
-        if (cls == monitor::PlacementClass::kFast)
-            hintedFastBytes_ += bytes;
-        else
-            hintedSpecBytes_ += bytes;
-    }
-
     std::uint64_t drains() const { return drains_; }
-    std::uint64_t hintedFastBytes() const { return hintedFastBytes_; }
-    std::uint64_t hintedSpecBytes() const { return hintedSpecBytes_; }
 
   private:
     std::vector<core::ModeController *> channels_;
     std::uint64_t drains_ = 0;
-    std::uint64_t hintedFastBytes_ = 0;
-    std::uint64_t hintedSpecBytes_ = 0;
 };
 
 NodeSystem::NodeSystem(NodeConfig config) : config_(std::move(config))

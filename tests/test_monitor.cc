@@ -358,7 +358,7 @@ TEST(SchemeParser, RangesStarsAndComments)
         "set epoch_shorten_scale=0.5\n"
         "scheme s1 size=4096:* acc=10:100 age=*:8 wfrac=0.25:* "
         "node=*:* action=epoch_shorten cooldown=3\n"
-        "scheme s2 action=hint_fast quota=7  # trailing comment\n";
+        "scheme s2 action=demote quota=7  # trailing comment\n";
     SchemeConfig config;
     ASSERT_TRUE(monitor::parseSchemeConfig(text, &config).ok());
     ASSERT_EQ(config.schemes.size(), 2u);
@@ -372,6 +372,7 @@ TEST(SchemeParser, RangesStarsAndComments)
     EXPECT_DOUBLE_EQ(p.minWriteFraction, 0.25);
     EXPECT_DOUBLE_EQ(p.maxWriteFraction, 1.0);
     EXPECT_DOUBLE_EQ(config.epochShortenScale, 0.5);
+    EXPECT_EQ(config.schemes[1].action, SchemeAction::kDemoteMargin);
     EXPECT_EQ(config.schemes[1].quota, 7u);
 }
 
@@ -381,6 +382,7 @@ TEST(SchemeParser, MalformedInputNeverHalfFillsTheOutput)
         "scheme\n",                                  // no name
         "scheme s1\n",                               // no action
         "scheme s1 action=warp_drive\n",             // unknown action
+        "scheme s1 action=hint_fast\n",              // retired action
         "scheme s1 action=stat bogus=1\n",           // unknown key
         "scheme s1 action=stat acc=nope:4\n",        // bad range
         "scheme s1 action=stat acc=9:4\n",           // inverted (validate)
@@ -466,50 +468,39 @@ struct FakeSink : monitor::ActionSink
     {
         std::string what;
         double value = 0.0;
-        std::uint64_t bytes = 0;
     };
     std::vector<Call> calls;
 
     void
     drainWrites(double clean_fraction) override
     {
-        calls.push_back({"drain", clean_fraction, 0});
+        calls.push_back({"drain", clean_fraction});
     }
     void
     setWriteTriggerBoost(double boost) override
     {
-        calls.push_back({"boost", boost, 0});
+        calls.push_back({"boost", boost});
     }
     void
     setEpochScale(double scale) override
     {
-        calls.push_back({"epoch", scale, 0});
+        calls.push_back({"epoch", scale});
     }
     void
     setCleanFraction(double fraction) override
     {
-        calls.push_back({"clean", fraction, 0});
+        calls.push_back({"clean", fraction});
     }
     void
     promoteMargin() override
     {
-        calls.push_back({"promote", 0.0, 0});
+        calls.push_back({"promote", 0.0});
     }
     void
     demoteMargin() override
     {
-        calls.push_back({"demote", 0.0, 0});
+        calls.push_back({"demote", 0.0});
     }
-    void
-    hintPlacement(monitor::PlacementClass cls,
-                  std::uint64_t bytes) override
-    {
-        calls.push_back({cls == monitor::PlacementClass::kFast
-                             ? "hint_fast"
-                             : "hint_spec",
-                         0.0, bytes});
-    }
-
     std::size_t
     count(const std::string &what) const
     {
@@ -618,26 +609,19 @@ TEST(SchemeEngine, ShortenOutranksLengthen)
     EXPECT_DOUBLE_EQ(engine.epochScale(), 4.0);
 }
 
-TEST(SchemeEngine, PromoteDemoteAndPlacementHints)
+TEST(SchemeEngine, PromoteFiresOncePerMatchingAggregation)
 {
     FakeSink sink;
-    SchemeConfig config;
-    Scheme promote = oneScheme(SchemeAction::kPromoteMargin).schemes[0];
-    promote.name = "promote";
-    Scheme hint = oneScheme(SchemeAction::kHintFast).schemes[0];
-    hint.name = "hint";
-    config.schemes = {promote, hint};
+    SchemeConfig config = oneScheme(SchemeAction::kPromoteMargin);
     SchemeEngine engine(config, &sink);
 
+    // Two matching regions are still one edge fire.
     const std::vector<Region> regions = {
         makeRegion(0, 4096, 50, 0, 1),
         makeRegion(4096, 8192, 60, 0, 2),
     };
     engine.onAggregation(regions, aggAt(0));
     EXPECT_EQ(sink.count("promote"), 1u);
-    ASSERT_EQ(sink.count("hint_fast"), 1u);
-    // The hint covers the bytes of every matching region.
-    EXPECT_EQ(sink.calls.back().bytes, 4096u + 8192u);
 }
 
 TEST(SchemeEngine, SnapshotRoundTripReassertsHolds)
